@@ -66,36 +66,17 @@ class Processor:
 
 
 # --------------------------------------------------------------------------
-# Stateless transforms (+ fusion)
+# Stateless transforms (fused)
 # --------------------------------------------------------------------------
-
-
-class MapProcessor(Processor):
-    """Stateless 1→1 transform; ``fn`` returning None drops the event."""
-
-    def __init__(self, fn: Callable[[Any], Any]):
-        self.fn = fn
-
-    def process(self, ev: Event, ordinal: int) -> list[Event]:
-        out = self.fn(ev.payload)
-        return [ev.with_payload(out)] if out is not None else []
-
-
-class FilterProcessor(Processor):
-    """Stateless predicate filter."""
-
-    def __init__(self, pred: Callable[[Any], bool]):
-        self.pred = pred
-
-    def process(self, ev: Event, ordinal: int) -> list[Event]:
-        return [ev] if self.pred(ev.payload) else []
 
 
 class FusedProcessor(Processor):
     """Chain of fused stateless stages (operator chaining, §3.1).
 
     ``stages`` is a list of ``("map", fn)`` / ``("filter", pred)``
-    entries applied in order without intermediate queues.
+    entries applied in order without intermediate queues; a map
+    returning None drops the event. A lone map or filter is a
+    one-stage chain.
     """
 
     def __init__(self, stages: list[tuple[str, Callable]]):
@@ -183,6 +164,20 @@ class WindowResult:
     emit_ms: float
 
 
+def _flatten(panes: dict[int, dict[Any, int]]) -> dict:
+    """Pane index -> the snapshot format, a flat ``(key, pane) -> count``
+    dict (the engine routes and merges it by ``key``)."""
+    return {(k, p): c for p, counts in panes.items() for k, c in counts.items()}
+
+
+def _index(entries: dict) -> dict[int, dict[Any, int]]:
+    """Inverse of :func:`_flatten`."""
+    panes: dict[int, dict[Any, int]] = {}
+    for (key, p), c in entries.items():
+        panes.setdefault(p, {})[key] = c
+    return panes
+
+
 class PaneAccumulator(Processor):
     """Stage 1: accumulate events into slide-aligned panes per key.
 
@@ -190,34 +185,35 @@ class PaneAccumulator(Processor):
     is the "local partial results" half of Jet's two-stage approach, so
     the data crossing the distributed edge is bounded by
     ``n_keys × panes``, not by the event rate (the Fig 10 effect).
+    State is indexed ``pane_start -> {key: count}``, so a watermark
+    touches only the panes it closes.
     """
 
     def __init__(self, key_fn: Callable[[Any], Any], slide_ms: int):
         self.key_fn = key_fn
         self.slide_ms = slide_ms
-        self.acc: dict[tuple[Any, int], int] = {}
+        self.panes: dict[int, dict[Any, int]] = {}
 
     def process(self, ev: Event, ordinal: int) -> list[Event]:
-        pane = (ev.ts_ms // self.slide_ms) * self.slide_ms
-        k = (self.key_fn(ev.payload), pane)
-        self.acc[k] = self.acc.get(k, 0) + 1
+        pane = self.panes.setdefault((ev.ts_ms // self.slide_ms) * self.slide_ms, {})
+        key = self.key_fn(ev.payload)
+        pane[key] = pane.get(key, 0) + 1
         return []
 
     def on_watermark(self, wm: int) -> list[Event]:
         out = []
-        for (key, pane), acc in sorted(
-            ((k, a) for k, a in self.acc.items() if k[1] + self.slide_ms <= wm),
-            key=lambda kv: (kv[0][1], repr(kv[0][0])),
-        ):
-            out.append(Event(PaneRecord(key, pane, acc), pane + self.slide_ms - 1))
-            del self.acc[(key, pane)]
+        for p in sorted(p for p in self.panes if p + self.slide_ms <= wm):
+            counts = self.panes.pop(p)
+            ts = p + self.slide_ms - 1
+            for key in sorted(counts, key=repr):
+                out.append(Event(PaneRecord(key, p, counts[key]), ts))
         return out
 
     def save_keyed(self) -> dict:
-        return dict(self.acc)
+        return _flatten(self.panes)
 
     def restore_keyed(self, entries: dict) -> None:
-        self.acc = dict(entries)
+        self.panes = _index(entries)
 
     @staticmethod
     def merge(a, b):
@@ -231,6 +227,12 @@ class WindowCombiner(Processor):
     watermark passes a window's end, every key with data in that window
     emits a :class:`WindowResult`; ``on_trigger`` (engine-injected)
     records the §7.1 latency sample ``now_ms - window_end``.
+
+    State is indexed ``pane_start -> {key: count}`` plus one running
+    per-key sum over the panes of the next window to close, except its
+    newest pane. Closing a window adds the pane that enters it and,
+    after emitting, deducts the pane that leaves (Jet's combine/deduct),
+    so a watermark does work proportional to the windows it completes.
     """
 
     def __init__(
@@ -244,61 +246,78 @@ class WindowCombiner(Processor):
         self.size_ms = size_ms
         self.slide_ms = slide_ms
         self.on_trigger = on_trigger
-        self.panes: dict[tuple[Any, int], int] = {}
+        self.panes: dict[int, dict[Any, int]] = {}
         #: max window end already emitted — guards against re-emission
         #: across watermark advances and across snapshot restore
         self.emitted_upto = -1
+        self._rebuild()
+
+    def _rebuild(self) -> None:
+        """Derive the cursor and the running sum from ``emitted_upto``
+        and ``panes``; drop panes whose windows were all emitted."""
+        self.next_end = (self.emitted_upto // self.slide_ms + 1) * self.slide_ms
+        lo = self.next_end - self.size_ms
+        hi = self.next_end - self.slide_ms
+        self.panes = {p: c for p, c in self.panes.items() if p >= lo}
+        self.sums: dict[Any, int] = {}
+        for p, counts in self.panes.items():
+            if p < hi:
+                for key, c in counts.items():
+                    self.sums[key] = self.sums.get(key, 0) + c
 
     def process(self, ev: Event, ordinal: int) -> list[Event]:
         r: PaneRecord = ev.payload
-        k = (r.key, r.pane_start)
-        cur = self.panes.get(k)
-        self.panes[k] = r.acc if cur is None else cur + r.acc
+        p = r.pane_start
+        if p < self.next_end - self.size_ms:
+            return []  # every window holding this pane was already emitted
+        pane = self.panes.setdefault(p, {})
+        pane[r.key] = pane.get(r.key, 0) + r.acc
+        if p < self.next_end - self.slide_ms:  # already part of the running sum
+            self.sums[r.key] = self.sums.get(r.key, 0) + r.acc
         return []
 
     def on_watermark(self, wm: int) -> list[Event]:
-        # windows [s, s+size) with s+size <= wm are complete; a pane at p
-        # participates in every window ending at p+slide .. p+size
+        # windows [s, s+size) with s+size <= wm are complete
         out = []
-        n = self.size_ms // self.slide_ms
-        complete_ends = sorted(
-            {
-                p + i * self.slide_ms
-                for (_k, p) in self.panes
-                for i in range(1, n + 1)
-                if self.emitted_upto < p + i * self.slide_ms <= wm
-            }
-        )
-        for end in complete_ends:
-            start = end - self.size_ms
-            per_key: dict[Any, int] = {}
-            for (key, pane), acc in self.panes.items():
-                if start <= pane < end:
-                    per_key[key] = per_key.get(key, 0) + acc
+        size, slide, panes, sums = self.size_ms, self.slide_ms, self.panes, self.sums
+        end = self.next_end
+        while end <= wm:
+            if not sums:
+                # nothing carried over: the next window with data ends one
+                # slide after the oldest live pane
+                if not panes:
+                    break
+                end = max(end, min(panes) + slide)
+                if end > wm:
+                    break
+            for key, c in panes.get(end - slide, {}).items():
+                sums[key] = sums.get(key, 0) + c
             # a WM_MAX flush is an end-of-stream drain, not a §7.1
             # latency-clock trigger (those windows never close in an
             # unbounded stream)
-            if self.on_trigger is not None and per_key and wm < WM_MAX:
+            if self.on_trigger is not None and sums and wm < WM_MAX:
                 self.on_trigger(end, self.now_ms)
-            for key in sorted(per_key, key=repr):
-                out.append(
-                    Event(
-                        WindowResult(start, end, key, per_key[key], self.now_ms),
-                        end - 1,
-                    )
-                )
+            start = end - size
+            for key in sorted(sums, key=repr):
+                out.append(Event(WindowResult(start, end, key, sums[key], self.now_ms), end - 1))
+            # pane ``start`` leaves: its last containing window was emitted
+            for key, c in panes.pop(start, {}).items():
+                left = sums[key] - c
+                if left:
+                    sums[key] = left
+                else:
+                    del sums[key]
+            end += slide
         self.emitted_upto = max(self.emitted_upto, wm)
-        # a pane p is dead once its last containing window ([p, p+size))
-        # has been emitted
-        for k in [k for k in self.panes if k[1] + self.size_ms <= self.emitted_upto]:
-            del self.panes[k]
+        self.next_end = (self.emitted_upto // slide + 1) * slide
         return out
 
     def save_keyed(self) -> dict:
-        return dict(self.panes)
+        return _flatten(self.panes)
 
     def restore_keyed(self, entries: dict) -> None:
-        self.panes = dict(entries)
+        self.panes = _index(entries)
+        self._rebuild()
 
     @staticmethod
     def merge(a, b):
@@ -310,6 +329,7 @@ class WindowCombiner(Processor):
     def restore_inst(self, state) -> None:
         if state is not None:
             self.emitted_upto = state
+            self._rebuild()
 
 
 class WindowTop(Processor):

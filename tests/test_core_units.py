@@ -6,9 +6,7 @@ from repro.core.gc_model import G1_TUNED, STW_BASELINE, PauseTracker, pause_sche
 from repro.core.items import Barrier, EndOfStream, Event, Watermark, is_control
 from repro.core.pipeline import Pipeline
 from repro.core.processors import (
-    FilterProcessor,
     FusedProcessor,
-    MapProcessor,
     PaneAccumulator,
     WindowCombiner,
     WindowTop,
@@ -113,14 +111,14 @@ def test_summing_and_maxing_ops():
 # -- stateless processors & fusion --------------------------------------
 
 
-def test_map_processor_drops_none():
-    p = MapProcessor(lambda x: x * 2 if x < 3 else None)
+def test_fused_map_stage_drops_none():
+    p = FusedProcessor([("map", lambda x: x * 2 if x < 3 else None)])
     assert p.process(Event(2, 0), 0) == [Event(4, 0)]
     assert p.process(Event(5, 0), 0) == []
 
 
-def test_filter_processor():
-    p = FilterProcessor(lambda x: x % 2 == 0)
+def test_fused_filter_stage():
+    p = FusedProcessor([("filter", lambda x: x % 2 == 0)])
     assert p.process(Event(4, 0), 0) == [Event(4, 0)]
     assert p.process(Event(5, 0), 0) == []
 
@@ -228,7 +226,7 @@ def test_window_combiner_state_roundtrip():
 
 
 def _dummy_vertex(name):
-    return Vertex(name, lambda ctx, k: MapProcessor(lambda x: x))
+    return Vertex(name, lambda ctx, k: FusedProcessor([("map", lambda x: x)]))
 
 
 def test_dag_rejects_unknown_edge_endpoints():

@@ -89,6 +89,22 @@ def test_q5_engine_matches_duckdb(data, size_ms, slide_ms):
     assert got == want
 
 
+def test_q5_engine_paper_geometry_matches_duckdb():
+    """Fig 7's geometry: 10 s windows sliding every 10 ms (1000 panes
+    per window)."""
+    d = gen.generate(rate=4_000, duration_s=0.3, n_keys=300, seed=77)
+    eng = JetEngine(
+        qj.q5_pipeline(size_ms=10_000, slide_ms=10).compile(),
+        {"bids": qj.bid_events(d)},
+        n_nodes=2,
+        cfg=SimConfig(**CFG),
+    )
+    eng.run()
+    got = rows_set(eng.results(), ["window_start", "auction", "n_bids"])
+    want = duck(q5_sql(size_ms=10_000, slide_ms=10), bids=d.bids)
+    assert got == want
+
+
 def test_q5_engine_with_out_of_order_input():
     d = gen.generate(rate=4_000, duration_s=1.0, n_keys=200, seed=5, ooo_max_delay_ms=150)
     eng = JetEngine(

@@ -63,17 +63,31 @@ def test_snapshots_complete_under_normal_operation(q5_clean):
     assert q5_clean.metrics.recoveries == 0
 
 
-@pytest.mark.parametrize("fail_ms,victim", [(600, 0), (600, 1), (900, 1)])
-def test_exactly_once_q5_crash_equals_clean_run(data, q5_clean, fail_ms, victim):
-    eng = mk_engine(
-        qj.q5_pipeline(size_ms=1_000, slide_ms=250),
-        {"bids": qj.bid_events(data)},
-        guarantee="exactly-once",
-        snapshot_ms=250,
-    )
-    eng.run(fail_at=[(fail_ms, victim)])
+@pytest.mark.parametrize(
+    "fail_ms,victim,slide_ms",
+    [
+        pytest.param(600, 0, 250, id="600-0"),
+        pytest.param(600, 1, 250, id="600-1"),
+        pytest.param(900, 1, 250, id="900-1"),
+        # fine slide: restored (key, pane) entries rebuild the pane index
+        pytest.param(600, 1, 10, id="600-1-slide10"),
+    ],
+)
+def test_exactly_once_q5_crash_equals_clean_run(data, q5_clean, fail_ms, victim, slide_ms):
+    def run(fail_at=None):
+        eng = mk_engine(
+            qj.q5_pipeline(size_ms=1_000, slide_ms=slide_ms),
+            {"bids": qj.bid_events(data)},
+            guarantee="exactly-once",
+            snapshot_ms=250,
+        )
+        eng.run(fail_at=fail_at)
+        return eng
+
+    clean = q5_clean if slide_ms == 250 else run()
+    eng = run(fail_at=[(fail_ms, victim)])
     assert eng.metrics.recoveries == 1
-    assert multiset(eng.results(), Q5_COLS) == multiset(q5_clean.results(), Q5_COLS)
+    assert multiset(eng.results(), Q5_COLS) == multiset(clean.results(), Q5_COLS)
 
 
 def test_exactly_once_q1_crash_no_loss_no_dup(data):

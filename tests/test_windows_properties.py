@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 from repro.core.items import WM_MAX, Event
 from repro.core.processors import PaneAccumulator, WindowCombiner, WindowTop
 
+TS_MAX = 1_499
 EVENTS = st.lists(
-    st.tuples(st.integers(0, 4), st.integers(0, 199)),  # (key, ts)
+    st.tuples(st.integers(0, 4), st.integers(0, TS_MAX)),  # (key, ts)
     min_size=0,
     max_size=60,
 )
-GEOM = st.sampled_from([(40, 10), (40, 20), (20, 20), (60, 10)])
+# includes fine slides where one window spans 20 and 100 panes
+GEOM = st.sampled_from([(40, 10), (40, 20), (20, 20), (60, 10), (200, 10), (1000, 10)])
 
 
 def brute_force(events, size, slide):
@@ -66,10 +68,57 @@ def test_partials_merge_equals_single_instance(events, geom, n_partials):
 @given(EVENTS, GEOM)
 def test_incremental_watermarks_equal_one_shot(events, geom):
     size, slide = geom
-    steps = list(range(0, 260, 30))
+    steps = list(range(0, TS_MAX + 1_100, 70))
     assert run_two_stage(events, size, slide, wm_steps=steps) == brute_force(
         events, size, slide
     )
+
+
+@settings(max_examples=25, deadline=None)
+@given(EVENTS, GEOM, st.integers(0, TS_MAX + 100), st.lists(st.booleans(), min_size=5, max_size=5))
+def test_merged_snapshot_restore_emits_each_window_once(events, geom, wm_snap, route):
+    """Two accumulators and two keyed combiners run to ``wm_snap``, are
+    snapshotted, their entries merged as on recovery, and restored into
+    one fresh instance each, which finish the stream."""
+    size, slide = geom
+    before = [(k, ts) for k, ts in events if ts < wm_snap]
+    after = [(k, ts) for k, ts in events if ts >= wm_snap]
+    accs = [PaneAccumulator(lambda p: p["k"], slide) for _ in range(2)]
+    combs = [WindowCombiner(size, slide) for _ in range(2)]
+    results = {}
+
+    def collect(out):
+        for ev in out:
+            r = ev.payload
+            assert (r.window_start, r.key) not in results, "window result emitted twice"
+            results[(r.window_start, r.key)] = r.value
+
+    for i, (key, ts) in enumerate(before):
+        accs[i % 2].process(Event({"k": key}, ts), 0)
+    for acc in accs:
+        for ev in acc.on_watermark(wm_snap):
+            combs[route[ev.payload.key]].process(ev, 0)
+    for comb in combs:
+        collect(comb.on_watermark(wm_snap))
+
+    def restore(cls, procs, fresh):
+        merged = {}
+        for proc in procs:
+            for k, v in proc.save_keyed().items():
+                merged[k] = cls.merge(merged[k], v) if k in merged else v
+        fresh.restore_keyed(merged)
+        fresh.restore_inst(procs[0].save_inst())
+        return fresh
+
+    assert combs[0].save_inst() == combs[1].save_inst()
+    acc = restore(PaneAccumulator, accs, PaneAccumulator(lambda p: p["k"], slide))
+    comb = restore(WindowCombiner, combs, WindowCombiner(size, slide))
+    for key, ts in after:
+        acc.process(Event({"k": key}, ts), 0)
+    for ev in acc.on_watermark(WM_MAX):
+        comb.process(ev, 0)
+    collect(comb.on_watermark(WM_MAX))
+    assert results == brute_force(events, size, slide)
 
 
 @settings(max_examples=25, deadline=None)
