@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from ..imdg.cluster import Cluster
 from ..imdg.imap import IMap
-from ..imdg.partition import partition_id
+from ..imdg.partition import partition_id, stable_hash
 from .dag import DAG
 from .gc_model import GcConfig, PauseTracker, pause_schedule
 from .processors import ExternalStore, SinkProcessor
@@ -295,6 +295,14 @@ class JetEngine:
     def _meta_map(self) -> IMap:
         return self._imap("__snap.meta")
 
+    def _drop_snapshot(self, sid: int) -> None:
+        """Destroy every ``__snap.{sid}.*`` map and its meta entry."""
+        prefix = f"__snap.{sid}."
+        for name in [n for n in self._imaps if n.startswith(prefix)]:
+            self.cluster.destroy_map(name)
+            del self._imaps[name]
+        self._meta_map().remove(sid)
+
     def _mk_source_snapshot_cb(self, sname: str, k: int):
         def cb(sid: int, src: SourceTasklet) -> None:
             self._inst_map(sid).put((sname, k), src.save_inst())
@@ -327,6 +335,9 @@ class JetEngine:
         self._acks.add((vname, k))
         if len(self._acks) == self._expected_acks():
             self._meta_map().put(sid, True)
+            # like Jet (§4.4), keep only the newest completed snapshot
+            if self.last_complete_sid is not None:
+                self._drop_snapshot(self.last_complete_sid)
             self.last_complete_sid = sid
             self.inflight_sid = None
             self.metrics.snapshots_completed += 1
@@ -381,6 +392,8 @@ class JetEngine:
 
     def fail_node(self, node_idx: int) -> None:
         """Crash a member and run the full recovery protocol."""
+        if self.inflight_sid is not None:
+            self._drop_snapshot(self.inflight_sid)  # cancelled, never restored
         member = self.node_members[node_idx]
         self.cluster.fail_node(member)
         self.node_members[node_idx] = self.cluster.add_node()
@@ -405,7 +418,7 @@ class JetEngine:
             per_inst: dict[int, dict] = {}
             for key, val in merged.items():
                 rk = v.state_record_key(key)
-                inst = self._route_key(rk, n_inst) if in_part else hash(repr(rk)) % n_inst
+                inst = self._route_key(rk, n_inst) if in_part else stable_hash(rk) % n_inst
                 per_inst.setdefault(inst, {})[key] = val
             for inst, entries in per_inst.items():
                 self.procs[(vname, inst)].restore_keyed(entries)
@@ -447,7 +460,7 @@ class JetEngine:
             self._maybe_trigger_snapshot()
             for w_idx, worker in enumerate(self.workers):
                 if self._pauses is not None and self._pauses[w_idx // self.T].in_pause(
-                    self.now
+                    self.now - self.t0
                 ):
                     continue
                 worker.run_slice(self.now)

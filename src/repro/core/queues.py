@@ -6,47 +6,57 @@ these are wait-free ring buffers; under the simulator's cooperative
 scheduling there is no real concurrency, so a deque with a capacity
 check reproduces the *behavioural* contract that matters for the
 experiments: ``offer`` fails when full (local backpressure, §3.3) and
-``poll``/``drain`` never block.
+``poll`` never blocks.
+
+Every queue knows its ``consumer`` tasklet (set when the tasklet is
+built) and, on ``offer``, lowers that tasklet's wake time so a tasklet
+that skips its idle runs (see :mod:`repro.core.tasklet`) never misses
+an item.
 
 :class:`NetworkChannel` decorates a queue with link latency and
 credit-based flow control, modelling the distributed-edge receive
 window of §3.3 (ack every 100 ms, ~300 ms worth of credits).
 """
+import math
 from collections import deque
 
 #: Jet's default edge queue capacity (1024 items per SPSC queue).
 DEFAULT_CAPACITY = 1024
 
+#: How far ahead of an ack deadline a consumer wakes (ms). ``maybe_ack``
+#: tests ``now - last < interval`` and the wake test is ``now < last +
+#: interval``; rounding can make them disagree only while ``last`` is
+#: small, where this guard is far above the rounding error.
+ACK_GUARD_MS = 1e-6
+
 
 class SPSCQueue:
     """Bounded FIFO with non-blocking offer/poll."""
 
-    __slots__ = ("capacity", "_q")
+    __slots__ = ("capacity", "_q", "consumer")
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         self.capacity = capacity
         self._q: deque = deque()
+        self.consumer = None
 
     def offer(self, item) -> bool:
         """Enqueue unless full; returns False (producer backs off) when full."""
         if len(self._q) >= self.capacity:
             return False
         self._q.append(item)
+        if self.consumer is not None:
+            self.consumer._wake = -math.inf
         return True
 
     def poll(self):
         """Dequeue one item, or None when empty."""
         return self._q.popleft() if self._q else None
 
-    def peek(self):
-        return self._q[0] if self._q else None
-
-    def drain(self, max_items: int) -> list:
-        """Dequeue up to ``max_items`` items (consumer-side batching)."""
-        out = []
-        while self._q and len(out) < max_items:
-            out.append(self._q.popleft())
-        return out
+    def next_change_ms(self) -> float:
+        """Earliest time at which ``poll`` can return an item: −∞ when
+        one is queued, otherwise never (until the next ``offer``)."""
+        return -math.inf if self._q else math.inf
 
     def __len__(self) -> int:
         return len(self._q)
@@ -87,14 +97,19 @@ class NetworkChannel:
         self._consumed_since_ack = 0
         self.sent = 0
         self.received = 0
+        self.consumer = None
 
     def offer(self, item, now_ms: float) -> bool:
         """Send one item if a credit is available."""
         if self.credits <= 0 or len(self._in_flight) + len(self._ready) >= self.capacity:
             return False
         self.credits -= 1
-        self._in_flight.append((now_ms + self.latency_ms, item))
+        at = now_ms + self.latency_ms
+        self._in_flight.append((at, item))
         self.sent += 1
+        c = self.consumer
+        if c is not None and at < c._wake:
+            c._wake = at
         return True
 
     def _promote(self, now_ms: float) -> None:
@@ -109,10 +124,6 @@ class NetworkChannel:
         self._consumed_since_ack += 1
         self.received += 1
         return self._ready.popleft()
-
-    def peek(self, now_ms: float):
-        self._promote(now_ms)
-        return self._ready[0] if self._ready else None
 
     def maybe_ack(self, now_ms: float) -> None:
         """Consumer-side credit grant, every ``ack_interval_ms``.
@@ -130,6 +141,17 @@ class NetworkChannel:
         self.credits = max(self.credits, window - backlog)
         self._last_ack_ms = now_ms
         self._consumed_since_ack = 0
+
+    def next_change_ms(self) -> float:
+        """Earliest time at which ``maybe_ack``/``poll`` can change state:
+        −∞ while a delivered item waits, else the head delivery time or
+        the next ack deadline (``ACK_GUARD_MS`` early), whichever is first."""
+        if self._ready:
+            return -math.inf
+        wake = self._last_ack_ms + self.ack_interval_ms - ACK_GUARD_MS
+        if self._in_flight and self._in_flight[0][0] < wake:
+            return self._in_flight[0][0]
+        return wake
 
     def __len__(self) -> int:
         return len(self._in_flight) + len(self._ready)

@@ -12,6 +12,8 @@ The source is *replayable* (§4.5): its only state is the read offset,
 saved into each snapshot; recovery rewinds to the offset recorded in
 the last completed snapshot and re-emits.
 """
+import math
+
 from .items import WM_MAX, Barrier, EndOfStream, Event, Watermark
 from .tasklet import OutboundEdge, OutputBuffer
 
@@ -63,11 +65,25 @@ class SourceTasklet:
         self._finishing = False
         self.last_wm = -1
 
+    def _next_wake(self) -> float:
+        """Earliest simulated time at which a run can change any state:
+        the next event's arrival, or −∞ while a control item or snapshot
+        is pending or the stream is exhausted."""
+        if (
+            self.pending_snapshot_sid is not None
+            or len(self._ctl)
+            or self.offset >= len(self.events)
+        ):
+            return -math.inf
+        return self.events[self.offset][0]
+
     def run(self, now_ms: float) -> tuple[bool, float]:
         """One cooperative step: barrier first, then a batch of events,
         then a watermark update; finally EOS once drained."""
         if self.done:
             return False, 0.0
+        if now_ms < self._next_wake():  # provably idle: same result as a full run
+            return False, self.run_overhead_ms / 4
         if not self._flush_control(now_ms):
             return False, 0.0
         progress = False

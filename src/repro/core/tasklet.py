@@ -16,11 +16,21 @@ Control items are handled here, uniformly for every processor:
   at-least-once (§4.4);
 * end-of-stream completes the processor and propagates.
 
+A run that has nothing to do is nearly free (§3.2). After each full run
+the tasklet records a *wake* time: the earliest simulated time at which
+another run could change anything, taken from its outbox and the
+inbound channels a run would poll. Producers lower it when they offer
+(see :mod:`repro.core.queues`). A run before the wake time skips the
+channel scan and returns exactly what an idle full run returns, with
+the same effect on state (the round-robin input cursor advances), so
+simulated time, latencies and results are those of the full run.
+
 Output ordering is strictly FIFO: data events and control items share
 one ordered buffer, so a barrier can never overtake the pre-barrier
 events it must follow (the correctness heart of aligned snapshots),
 even when a full downstream queue forces partial flushes.
 """
+import math
 from collections import deque
 
 from .items import WM_MAX, Barrier, EndOfStream, Event, Watermark
@@ -161,6 +171,9 @@ class Tasklet:
         self.wm = -1
         self._rr_input = 0
         self._finishing = False
+        self._wake = -math.inf  # before this simulated time a run is idle
+        for c in inputs:
+            c.queue.consumer = self
 
     def _maybe_advance_wm(self) -> None:
         live = [c for c in self.inputs if not c.done]
@@ -175,6 +188,33 @@ class Tasklet:
         if sids and None not in sids and len(sids) == 1:
             return next(iter(sids))
         return None
+
+    def _wanted(self) -> int | None:
+        """The processor's priority ordinal while one of its channels is open."""
+        want = self.processor.wanted_ordinal()
+        if want is not None and any(c.ordinal == want and not c.done for c in self.inputs):
+            return want
+        return None
+
+    def _next_wake(self) -> float:
+        """Earliest simulated time at which a run can change any state.
+
+        A run changes state only by flushing its outbox or by polling
+        the channels it drains: open, not blocked by barrier alignment
+        and, during a priority drain, of the wanted ordinal. Control
+        transitions follow only from what those polls return.
+        """
+        if len(self.out):
+            return -math.inf
+        want = self._wanted()
+        wake = math.inf
+        for c in self.inputs:
+            if c.done or (c.barrier_seen is not None and self.exactly_once):
+                continue
+            if want is not None and c.ordinal != want:
+                continue
+            wake = min(wake, c.queue.next_change_ms())
+        return wake
 
     def _take_snapshot(self, sid: int) -> None:
         if self.on_snapshot is not None:
@@ -194,6 +234,9 @@ class Tasklet:
         """
         if self.done:
             return False, 0.0
+        if now_ms < self._wake:  # provably idle: same result as a full run
+            self._rr_input += 1
+            return False, self.run_overhead_ms / 4
         self.processor.now_ms = now_ms  # simulated clock for trigger stamps
         progress = False
         # 1. drain any backed-up output first; no new input while blocked
@@ -202,12 +245,10 @@ class Tasklet:
 
         # 2. drain inputs into the inbox
         inbox: list[tuple[int, Event]] = []
-        want = self.processor.wanted_ordinal()
+        want = self._wanted()
         n_in = len(self.inputs)
         order = [(self._rr_input + i) % n_in for i in range(n_in)]
-        if want is not None and any(
-            c.ordinal == want and not c.done for c in self.inputs
-        ):
+        if want is not None:
             order = [ci for ci in order if self.inputs[ci].ordinal == want]
         self._rr_input += 1
         for ci in order:
@@ -258,6 +299,7 @@ class Tasklet:
         flushed = self.out.flush(now_ms)
         if self._finishing and flushed:
             self.done = True
+        self._wake = self._next_wake()
         cost = self.run_overhead_ms + len(inbox) * self.cost_per_item_ms
         if self.metrics is not None and inbox:
             self.metrics.add_items(self.name, len(inbox))

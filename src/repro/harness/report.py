@@ -25,10 +25,6 @@ def table(title: str, rows: list[dict], columns: list[str]) -> str:
     return "\n".join(out) + "\n"
 
 
-def print_table(title: str, rows: list[dict], columns: list[str]) -> None:
-    print(table(title, rows, columns))
-
-
 def df_rows(pdf: pd.DataFrame, cols: dict[str, str]) -> list[dict]:
     """Project a result frame into display rows. ``cols`` maps output
     column name -> source column (values passed through ``str``)."""

@@ -90,6 +90,12 @@ class Cluster:
     def register_map(self, name: str) -> None:
         self._map_names.add(name)
 
+    def destroy_map(self, name: str) -> None:
+        """Forget a map: drop its fragments from every member."""
+        self._map_names.discard(name)
+        for node in self.nodes.values():
+            node.storage.pop(name, None)
+
     def put(self, map_name: str, key, value) -> None:
         """Write-through to the primary and, synchronously, all backups."""
         pid = partition_id(key, self.n_partitions)

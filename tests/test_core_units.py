@@ -3,7 +3,7 @@ import pytest
 
 from repro.core.dag import DAG, Edge, SourceVertex, Vertex
 from repro.core.gc_model import G1_TUNED, STW_BASELINE, PauseTracker, pause_schedule
-from repro.core.items import Barrier, EndOfStream, Event, Watermark, is_control
+from repro.core.items import Barrier, EndOfStream, Event, Watermark
 from repro.core.pipeline import Pipeline
 from repro.core.processors import (
     FusedProcessor,
@@ -20,8 +20,14 @@ from repro.core.queues import NetworkChannel, SPSCQueue
 
 
 def test_control_item_classification():
-    assert is_control(Watermark(3)) and is_control(Barrier(1)) and is_control(EndOfStream())
-    assert not is_control(Event({"a": 1}, 5))
+    # control items are immutable values: one instance is broadcast to
+    # every outbound queue, and none of them is a data event
+    for item in (Watermark(3), Barrier(1), EndOfStream()):
+        assert not isinstance(item, Event)
+        assert item == type(item)(*vars(item).values())
+        with pytest.raises(AttributeError):
+            item.x = 1
+    assert Watermark(3) != Watermark(4) and Barrier(1) != Barrier(2)
 
 
 def test_event_with_payload_keeps_ts():
@@ -52,7 +58,7 @@ def test_spsc_drain_batches():
     q = SPSCQueue(16)
     for i in range(10):
         q.offer(i)
-    assert q.drain(4) == [0, 1, 2, 3]
+    assert [q.poll() for _ in range(4)] == [0, 1, 2, 3]
     assert len(q) == 6
     assert q.remaining == 10
 

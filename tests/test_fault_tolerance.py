@@ -263,3 +263,97 @@ def test_at_least_once_does_not_block_channels():
     t.run(0.0)
     t.run(0.0)
     assert "a2" in proc.seen  # no alignment blocking under at-least-once
+
+
+_CRASH_JOB = """
+from repro.core.engine import JetEngine, SimConfig
+from repro.nexmark import generator as gen
+from repro.nexmark import queries_jet as qj
+
+data = gen.generate(rate=3_000, duration_s=1.2, n_keys=150, seed=31, ooo_max_delay_ms=10)
+eng = JetEngine(
+    qj.q5_pipeline(size_ms=1_000, slide_ms=50, ooo_lag_ms=10).compile(),
+    {"bids": qj.bid_events(data)},
+    n_nodes=3,
+    cfg=SimConfig(threads_per_node=2, guarantee="exactly-once", snapshot_interval_ms=100),
+)
+m = eng.run(fail_at=[(450, 1)])
+print(repr((m.trigger_latencies, sorted(m.items.items()), eng.results())))
+"""
+
+
+def test_crash_recovery_independent_of_python_hash_seed():
+    # restored keyed state must be placed by a process-stable hash: the
+    # same job in two interpreters with different string-hash seeds has
+    # to produce the same latencies, item counts and rows (out-of-order
+    # input keeps panes open across snapshots, so placement shows)
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    outs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _CRASH_JOB], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+
+
+def test_snapshot_retention_is_bounded():
+    # Jet keeps the last completed snapshot plus the in-flight one (§4.4):
+    # however many snapshots a run takes, at most two snapshots' maps
+    # (plus the meta map) stay in the grid
+    data = gen.generate(rate=1_000, duration_s=3.5, n_keys=100, seed=5)
+    eng = mk_engine(
+        qj.q5_pipeline(size_ms=1_000, slide_ms=250),
+        {"bids": qj.bid_events(data)},
+        guarantee="exactly-once",
+        snapshot_ms=100,
+    )
+    m = eng.run()
+    assert m.snapshots_completed >= 30
+    _assert_snapshot_maps_bounded(eng)
+    assert f"__snap.{eng.last_complete_sid}.__inst" in eng._imaps
+
+
+def _snapshot_ids(names) -> set[str]:
+    return {n.split(".")[1] for n in names if n.startswith("__snap.") and n != "__snap.meta"}
+
+
+def _assert_snapshot_maps_bounded(eng):
+    stored = {name for node in eng.cluster.nodes.values() for name in node.storage}
+    for names in (stored, eng.cluster._map_names, eng._imaps):
+        assert len(_snapshot_ids(names)) <= 2
+
+
+def test_crash_drops_the_cancelled_snapshot(data, monkeypatch):
+    # a crash while a snapshot is in flight cancels it; its partial maps
+    # are never restored from and must not outlive the crash
+    cancelled = []
+    fail_node = JetEngine.fail_node
+
+    def recording_fail_node(self, node_idx):
+        cancelled.append(self.inflight_sid)
+        fail_node(self, node_idx)
+
+    monkeypatch.setattr(JetEngine, "fail_node", recording_fail_node)
+    eng = mk_engine(
+        qj.q5_pipeline(size_ms=1_000, slide_ms=250),
+        {"bids": qj.bid_events(data)},
+        guarantee="exactly-once",
+        snapshot_ms=100,
+    )
+    # the first snapshot is triggered at 100 ms; half a slice later its
+    # barriers are still crossing the network
+    eng.run(fail_at=[(100.5, 1)])
+    assert cancelled[0] is not None
+    assert str(cancelled[0]) not in _snapshot_ids(eng._imaps)
+    assert eng.metrics.snapshots_completed >= 5
+    _assert_snapshot_maps_bounded(eng)
