@@ -1,10 +1,10 @@
 """Core DAG model (§2.2): vertices, edges, routing metadata.
 
 The Core API is the intermediate representation the Pipeline API
-compiles into. A :class:`Vertex` carries a processor factory plus the
-metadata the engine needs for deployment (parallelism) and recovery
-(how to merge and re-route keyed state). An :class:`Edge` carries the
-routing discipline:
+compiles into. A :class:`Vertex` is topology plus a processor factory
+and its parallelism; how to snapshot, merge and re-route state is the
+processor's own business (:mod:`repro.core.processors`). An
+:class:`Edge` carries the routing discipline:
 
 * ``one_to_one`` — local edge, instance *i* feeds instance *i*;
 * ``partitioned`` — distributed edge routed by ``key_fn`` through the
@@ -26,16 +26,11 @@ class Vertex:
     ``make(ctx, inst_idx)`` builds the processor for one instance.
     ``parallelism`` is ``"per_core"`` (the whole-DAG-on-every-core
     deployment of §3.1) or ``"one"`` (single global instance).
-    ``merge`` combines two partial keyed-state values on restore;
-    ``state_record_key`` maps a keyed-state dict key to the record key
-    used for routing the restored entry.
     """
 
     name: str
     make: Callable[[Any, int], Any]
     parallelism: str = "per_core"
-    merge: Callable[[Any, Any], Any] | None = None
-    state_record_key: Callable[[Any], Any] = staticmethod(lambda k: k)
     is_sink: bool = False
 
 

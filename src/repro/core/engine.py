@@ -25,10 +25,28 @@ from ..imdg.imap import IMap
 from ..imdg.partition import partition_id, stable_hash
 from .dag import DAG
 from .gc_model import GcConfig, PauseTracker, pause_schedule
-from .processors import ExternalStore, SinkProcessor
+from .processors import ExternalStore
 from .queues import NetworkChannel, SPSCQueue
 from .source import SourceTasklet
 from .tasklet import InboundChannel, OutboundEdge, Tasklet
+
+
+#: Distributed-edge flow control (§3.3): the receiver acks every 100 ms
+#: and grants credits for ~300 ms worth of its observed consumption.
+ACK_INTERVAL_MS = 100.0
+RECEIVE_WINDOW_MS = 300.0
+
+#: Simulated fixed cost of one tasklet run, and events a source emits per
+#: run: cooperative steps stay far below the ~1 ms quantum of the §7.1
+#: deployment.
+RUN_OVERHEAD_MS = 0.0005
+SOURCE_BATCH = 256
+
+#: Snapshot IMaps are replicated "to another 1 member node" (§7.6).
+BACKUP_COUNT = 1
+
+#: Simulated-time horizon past which a run is reported as a livelock.
+MAX_SIM_MS = 600_000.0
 
 
 @dataclass
@@ -39,17 +57,11 @@ class SimConfig:
     slice_ms: float = 0.5
     queue_capacity: int = 1024
     net_latency_ms: float = 0.5
-    ack_interval_ms: float = 100.0
-    receive_window_ms: float = 300.0
     cost_per_item_ms: float = 0.0005
-    run_overhead_ms: float = 0.0005
     inbox_limit: int = 256
-    source_batch: int = 256
     guarantee: str = "none"  # none | at-least-once | exactly-once
     snapshot_interval_ms: float | None = None
-    backup_count: int = 1
     gc: GcConfig | None = None
-    max_sim_ms: float = 600_000.0
     seed: int = 1
 
 
@@ -122,7 +134,7 @@ class JetEngine:
         self.cfg = cfg or SimConfig()
         self.n_nodes = n_nodes
         self.T = self.cfg.threads_per_node
-        self.cluster = Cluster(n_nodes, backup_count=self.cfg.backup_count)
+        self.cluster = Cluster(n_nodes, backup_count=BACKUP_COUNT)
         self.node_members = list(self.cluster.member_ids)
         self.external = ExternalStore()
         self.metrics = Metrics()
@@ -151,6 +163,12 @@ class JetEngine:
         self._acks: set[tuple[str, int]] = set()
         self.last_complete_sid: int | None = None
         self._last_snap_ms = self.t0
+        self._sinks = [
+            (vname, k)
+            for vname, v in dag.vertices.items()
+            if v.is_sink
+            for k in range(self._n_inst(vname))
+        ]
         self._build()
 
     # -- topology helpers ----------------------------------------------
@@ -195,14 +213,11 @@ class JetEngine:
 
         def mk_queue(src_loc, dst_loc):
             if src_loc[0] == dst_loc[0]:
-                return SPSCQueue(cfg.queue_capacity), False
-            return (
-                NetworkChannel(
-                    latency_ms=cfg.net_latency_ms,
-                    ack_interval_ms=cfg.ack_interval_ms,
-                    window_ms=cfg.receive_window_ms,
-                ),
-                True,
+                return SPSCQueue(cfg.queue_capacity)
+            return NetworkChannel(
+                latency_ms=cfg.net_latency_ms,
+                ack_interval_ms=ACK_INTERVAL_MS,
+                window_ms=RECEIVE_WINDOW_MS,
             )
 
         out_edges: dict[tuple[str, int], list[OutboundEdge]] = {}
@@ -218,12 +233,10 @@ class JetEngine:
                     else:  # partitioned
                         targets = list(range(n_dst))
                     queues = []
-                    for ti, t in enumerate(targets):
-                        q, remote = mk_queue(src_loc, self._loc(e.dst, t))
+                    for t in targets:
+                        q = mk_queue(src_loc, self._loc(e.dst, t))
                         queues.append(q)
-                        inbound[(e.dst, t)].append(
-                            InboundChannel(q, remote=remote, ordinal=e.ordinal)
-                        )
+                        inbound[(e.dst, t)].append(InboundChannel(q, ordinal=e.ordinal))
                     if e.routing == "partitioned":
                         kf = e.key_fn
                         route = lambda p, kf=kf, nd=n_dst: self._route_key(kf(p), nd)
@@ -241,9 +254,9 @@ class JetEngine:
                     self._source_split[sname][k],
                     out_edges.get((sname, k), []),
                     ooo_lag_ms=sv.ooo_lag_ms,
-                    batch=cfg.source_batch,
+                    batch=SOURCE_BATCH,
                     cost_per_item_ms=cfg.cost_per_item_ms / 2,
-                    run_overhead_ms=cfg.run_overhead_ms,
+                    run_overhead_ms=RUN_OVERHEAD_MS,
                     on_snapshot=self._mk_source_snapshot_cb(sname, k),
                 )
                 self.source_tasklets[(sname, k)] = st
@@ -265,8 +278,9 @@ class JetEngine:
                     exactly_once=cfg.guarantee == "exactly-once",
                     inbox_limit=cfg.inbox_limit,
                     cost_per_item_ms=cfg.cost_per_item_ms,
-                    run_overhead_ms=cfg.run_overhead_ms,
+                    run_overhead_ms=RUN_OVERHEAD_MS,
                     on_snapshot=self._mk_snapshot_cb(vname, k),
+                    on_done=self._mk_done_cb(vname, k),
                     metrics=self.metrics,
                 )
                 self.tasklets[(vname, k)] = t
@@ -277,7 +291,7 @@ class JetEngine:
         if cfg.gc is not None:
             self._pauses = [
                 PauseTracker(
-                    pause_schedule(cfg.max_sim_ms, cfg.gc, seed=cfg.seed * 1000 + n)
+                    pause_schedule(MAX_SIM_MS, cfg.gc, seed=cfg.seed * 1000 + n)
                 )
                 for n in range(self.n_nodes)
             ]
@@ -313,27 +327,31 @@ class JetEngine:
     def _mk_snapshot_cb(self, vname: str, k: int):
         def cb(sid: int, tasklet: Tasklet) -> None:
             proc = tasklet.processor
-            if isinstance(proc, SinkProcessor):
-                self._inst_map(sid).put((vname, k), proc.prepare_epoch(sid))
-            else:
+            keyed = proc.save_keyed()
+            if keyed:
                 snap = self._snap_map(sid, vname)
-                for key, val in proc.save_keyed().items():
+                for key, val in keyed.items():
                     snap.put((k, key), val)
-                self._inst_map(sid).put((vname, k), proc.save_inst())
+            self._inst_map(sid).put((vname, k), proc.save_inst())
             self._ack(sid, vname, k)
 
         return cb
 
-    def _expected_acks(self) -> int:
-        return sum(self._n_inst(v) for v in self.dag.sources) + sum(
-            self._n_inst(v) for v in self.dag.vertices
-        )
+    def _mk_done_cb(self, vname: str, k: int):
+        def cb(tasklet: Tasklet) -> None:
+            # like Jet, a done tasklet holds up no snapshot: it will never
+            # see the in-flight barrier, and its output already reached
+            # consumers that align on it only after draining it to EOS
+            if self.inflight_sid is not None:
+                self._ack(self.inflight_sid, vname, k)
+
+        return cb
 
     def _ack(self, sid: int, vname: str, k: int) -> None:
         if sid != self.inflight_sid:
             return  # stale ack from a cancelled snapshot
         self._acks.add((vname, k))
-        if len(self._acks) == self._expected_acks():
+        if len(self._acks) == len(self.source_tasklets) + len(self.tasklets):
             self._meta_map().put(sid, True)
             # like Jet (§4.4), keep only the newest completed snapshot
             if self.last_complete_sid is not None:
@@ -344,15 +362,12 @@ class JetEngine:
             self._commit_sinks(sid)
 
     def _commit_sinks(self, sid: int) -> None:
-        """Phase 2 of 2PC: release prepared sink epochs (§4.5)."""
+        """Phase 2 of 2PC: commit the sink epochs sealed into ``sid`` (§4.5)."""
         im = self._inst_map(sid)
-        for vname, v in self.dag.vertices.items():
-            if not v.is_sink:
-                continue
-            for k in range(self._n_inst(vname)):
-                items = im.get((vname, k))
-                if items:
-                    self.external.commit((sid, vname, k), items)
+        for vname, k in self._sinks:
+            items = im.get((vname, k))
+            if items:
+                self.external.commit((sid, vname, k), items)
 
     def _maybe_trigger_snapshot(self) -> None:
         cfg = self.cfg
@@ -375,16 +390,15 @@ class JetEngine:
         sid = self.next_sid
         self.next_sid += 1
         self.inflight_sid = sid
-        self._acks = set()
+        self._acks = {key for key, t in self.tasklets.items() if t.done}
         self._last_snap_ms = self.now
-        for (sname, k), st in self.source_tasklets.items():
+        for st in self.source_tasklets.values():
             if st.done or st._finishing:
                 # a completed (bounded) source cannot emit a barrier; its
                 # consumers drain its channels to EOS before their own
-                # alignment completes, so acking its final offset now is
-                # exact — nothing of it is in flight past the barrier
-                self._inst_map(sid).put((sname, k), st.save_inst())
-                self._ack(sid, sname, k)
+                # alignment completes, so recording its final offset now
+                # is exact — nothing of it is in flight past the barrier
+                st.on_snapshot(sid, st)
             else:
                 st.pending_snapshot_sid = sid
 
@@ -406,45 +420,36 @@ class JetEngine:
             self._last_snap_ms = self.now
             return  # cold restart from offset 0 with empty state
         # keyed state: merge partials per record key, re-route by the
-        # current partition table, restore per instance
-        for vname, v in self.dag.vertices.items():
-            if v.merge is None:
-                continue
+        # current partition table, restore per instance; each processor
+        # class states how to merge and route its own state
+        for vname in self.dag.vertices:
+            snap = self._imaps.get(f"__snap.{sid}.{vname}")
+            if snap is None:
+                continue  # no instance saved keyed state
+            proc = self.procs[(vname, 0)]
             merged: dict = {}
-            for (_inst, key), val in self._snap_map(sid, vname).entry_set():
-                merged[key] = v.merge(merged[key], val) if key in merged else val
+            for (_inst, key), val in snap.entry_set():
+                merged[key] = proc.merge(merged[key], val) if key in merged else val
             n_inst = self._n_inst(vname)
             in_part = [e for e in self.dag.in_edges(vname) if e.routing == "partitioned"]
             per_inst: dict[int, dict] = {}
             for key, val in merged.items():
-                rk = v.state_record_key(key)
+                rk = proc.record_key(key)
                 inst = self._route_key(rk, n_inst) if in_part else stable_hash(rk) % n_inst
                 per_inst.setdefault(inst, {})[key] = val
             for inst, entries in per_inst.items():
                 self.procs[(vname, inst)].restore_keyed(entries)
         # instance state: source offsets, combiner emit cursors, sink epochs
-        im = self._inst_map(sid)
-        for (vname, k), st in im.entry_set():
-            if (vname, k) in self.source_tasklets:
-                self.source_tasklets[(vname, k)].restore_inst(st)
-            elif (vname, k) in self.procs:
-                proc = self.procs[(vname, k)]
-                if isinstance(proc, SinkProcessor):
-                    proc.restore_inst(None)  # prepared epoch is committed below
-                else:
-                    proc.restore_inst(st)
+        for key, st in self._inst_map(sid).entry_set():
+            owner = self.source_tasklets[key] if key in self.source_tasklets else self.procs[key]
+            owner.restore_inst(st)
         self._commit_sinks(sid)  # idempotent re-commit after recovery
         self._last_snap_ms = self.now
 
     # -- main loop ------------------------------------------------------
 
     def _done(self) -> bool:
-        return all(
-            self.tasklets[(vname, k)].done
-            for vname, v in self.dag.vertices.items()
-            if v.is_sink
-            for k in range(self._n_inst(vname))
-        )
+        return all(self.tasklets[key].done for key in self._sinks)
 
     def run(self, *, fail_at: list[tuple[float, int]] | None = None) -> Metrics:
         """Advance simulated time until every sink completed.
@@ -465,12 +470,11 @@ class JetEngine:
                     continue
                 worker.run_slice(self.now)
             self.now += cfg.slice_ms
-            if self.now - self.t0 > cfg.max_sim_ms:
+            if self.now - self.t0 > MAX_SIM_MS:
                 raise RuntimeError("simulation horizon exceeded — livelock?")
         # fold sink event latencies into metrics
-        for (vname, k), proc in self.procs.items():
-            if isinstance(proc, SinkProcessor):
-                self.metrics.event_latencies.extend(proc.latencies)
+        for key in self._sinks:
+            self.metrics.event_latencies.extend(self.procs[key].latencies)
         return self.metrics
 
     def results(self) -> list:

@@ -30,7 +30,7 @@ from .processors import (
 class _Stage:
     """Internal: one node of the logical pipeline graph."""
 
-    kind: str  # source | map | filter | window_count | tumbling_join | hash_join | sink
+    kind: str  # source | map | filter | window_count | join | sink
     name: str
     params: dict = field(default_factory=dict)
     upstream: list["_Stage"] = field(default_factory=list)
@@ -84,9 +84,14 @@ class Stage:
         """Windowed stream-stream join (Q8): this stage is the left
         input, ``other`` the right; both routed by their key."""
         return self._p._chain(
-            "tumbling_join",
+            "join",
             name or self._p._auto("join"),
-            {"size_ms": size_ms, "left_key": left_key, "right_key": right_key, "emit": emit},
+            {
+                "make": lambda ctx, k: TumblingJoin(
+                    size_ms, left_key, right_key, emit, on_trigger=ctx.record_trigger
+                ),
+                "keys": [left_key, right_key],
+            },
             [self._n, other._n],
         )
 
@@ -104,9 +109,12 @@ class Stage:
         partitioned by their join key, so each instance owns one shard
         of the hash table."""
         return self._p._chain(
-            "hash_join",
+            "join",
             name or self._p._auto("hjoin"),
-            {"build_key": build_key, "probe_key": probe_key, "merge_fn": merge_fn},
+            {
+                "make": lambda ctx, k: HashJoin(build_key, probe_key, merge_fn),
+                "keys": [build_key, probe_key],
+            },
             [build._n, self._n],  # ordinal 0 = build (priority), 1 = probe
         )
 
@@ -192,12 +200,7 @@ class Pipeline:
                 size, slide = st.params["size_ms"], st.params["slide_ms"]
                 acc, comb = f"{st.name}.accumulate", f"{st.name}.combine"
                 dag.add_vertex(
-                    Vertex(
-                        acc,
-                        lambda ctx, k, kf=key_fn, sl=slide: PaneAccumulator(kf, sl),
-                        merge=PaneAccumulator.merge,
-                        state_record_key=lambda sk: sk[0],
-                    )
+                    Vertex(acc, lambda ctx, k, kf=key_fn, sl=slide: PaneAccumulator(kf, sl))
                 )
                 dag.add_edge(Edge(vertex_of(st.upstream[0]), acc))
                 dag.add_vertex(
@@ -206,8 +209,6 @@ class Pipeline:
                         lambda ctx, k, sz=size, sl=slide: WindowCombiner(
                             sz, sl, on_trigger=ctx.record_trigger
                         ),
-                        merge=WindowCombiner.merge,
-                        state_record_key=lambda sk: sk[0],
                     )
                 )
                 dag.add_edge(
@@ -217,84 +218,27 @@ class Pipeline:
                 if st.params["top"]:
                     topv = f"{st.name}.top"
                     dag.add_vertex(
-                        Vertex(
-                            topv,
-                            lambda ctx, k, sz=size: WindowTop(sz),
-                            parallelism="one",
-                            merge=WindowTop.merge,
-                        )
+                        Vertex(topv, lambda ctx, k, sz=size: WindowTop(sz), parallelism="one")
                     )
                     dag.add_edge(Edge(comb, topv, routing="to_one"))
                     out = topv
                 produced[id(st)] = out
                 i += 1
                 continue
-            if st.kind == "tumbling_join":
-                p = st.params
-                dag.add_vertex(
-                    Vertex(
-                        st.name,
-                        lambda ctx, k, pp=p: TumblingJoin(
-                            pp["size_ms"],
-                            pp["left_key"],
-                            pp["right_key"],
-                            pp["emit"],
-                            on_trigger=ctx.record_trigger,
-                        ),
-                        merge=TumblingJoin.merge,
-                        state_record_key=lambda sk: sk[0],
+            if st.kind == "join":
+                # two-input keyed join: input ``ordinal`` is partitioned
+                # by its own join key
+                dag.add_vertex(Vertex(st.name, st.params["make"]))
+                for ordinal, (up, key_fn) in enumerate(zip(st.upstream, st.params["keys"])):
+                    dag.add_edge(
+                        Edge(
+                            vertex_of(up),
+                            st.name,
+                            ordinal=ordinal,
+                            routing="partitioned",
+                            key_fn=key_fn,
+                        )
                     )
-                )
-                dag.add_edge(
-                    Edge(
-                        vertex_of(st.upstream[0]),
-                        st.name,
-                        ordinal=0,
-                        routing="partitioned",
-                        key_fn=p["left_key"],
-                    )
-                )
-                dag.add_edge(
-                    Edge(
-                        vertex_of(st.upstream[1]),
-                        st.name,
-                        ordinal=1,
-                        routing="partitioned",
-                        key_fn=p["right_key"],
-                    )
-                )
-                produced[id(st)] = st.name
-                i += 1
-                continue
-            if st.kind == "hash_join":
-                p = st.params
-                dag.add_vertex(
-                    Vertex(
-                        st.name,
-                        lambda ctx, k, pp=p: HashJoin(
-                            pp["build_key"], pp["probe_key"], pp["merge_fn"]
-                        ),
-                        merge=HashJoin.merge,
-                    )
-                )
-                dag.add_edge(
-                    Edge(
-                        vertex_of(st.upstream[0]),
-                        st.name,
-                        ordinal=0,
-                        routing="partitioned",
-                        key_fn=p["build_key"],
-                    )
-                )
-                dag.add_edge(
-                    Edge(
-                        vertex_of(st.upstream[1]),
-                        st.name,
-                        ordinal=1,
-                        routing="partitioned",
-                        key_fn=p["probe_key"],
-                    )
-                )
                 produced[id(st)] = st.name
                 i += 1
                 continue

@@ -7,11 +7,13 @@ are written against simulated time: the owning tasklet sets ``now_ms``
 before every call, which window operators use to stamp trigger times
 for the paper's latency clock (§7.1).
 
-State contract for fault tolerance (§4.4): keyed state is exposed via
-``save_keyed``/``restore_keyed`` with a class-level ``merge`` so that
-partial accumulators from different instances can be merged on restore;
-instance-local state (source offsets, sink epochs) via
-``save_inst``/``restore_inst``.
+State contract for fault tolerance (§4.4): a processor owns its state.
+Keyed state is exposed via ``save_keyed``/``restore_keyed``; the
+class-level ``merge`` combines partial values from different instances
+on restore, and ``record_key`` maps a state key to the record key that
+routes the restored entry. Instance-local state (combiner emit cursors,
+sink epochs) goes through ``save_inst``/``restore_inst``. A stateless
+processor saves nothing.
 """
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -57,6 +59,11 @@ class Processor:
     def merge(a, b):
         """Merge two partial keyed-state values (override if stateful)."""
         raise NotImplementedError
+
+    @staticmethod
+    def record_key(state_key):
+        """The record key that routes a restored keyed-state entry."""
+        return state_key
 
     def save_inst(self):
         return None
@@ -219,6 +226,10 @@ class PaneAccumulator(Processor):
     def merge(a, b):
         return a + b
 
+    @staticmethod
+    def record_key(state_key):
+        return state_key[0]
+
 
 class WindowCombiner(Processor):
     """Stage 2: combine pane partials into sliding-window results.
@@ -322,6 +333,10 @@ class WindowCombiner(Processor):
     @staticmethod
     def merge(a, b):
         return a + b
+
+    @staticmethod
+    def record_key(state_key):
+        return state_key[0]
 
     def save_inst(self):
         return self.emitted_upto
@@ -439,6 +454,10 @@ class TumblingJoin(Processor):
     def merge(a, b):
         return [a[0] if a[0] is not None else b[0], a[1] or b[1]]
 
+    @staticmethod
+    def record_key(state_key):
+        return state_key[0]
+
 
 class HashJoin(Processor):
     """Batch/stream hash join (§2.1's hybrid pipeline; Q13).
@@ -496,10 +515,11 @@ class SinkProcessor(Processor):
 
     ``transactional=False``: every event goes straight to ``external``
     (at-least-once delivery under replay).
-    ``transactional=True``: events buffer in the current epoch; the
-    engine calls :meth:`prepare_epoch` at each barrier and commits the
-    prepared buffer only once the snapshot completes (two-phase commit,
-    §4.5), with ``(snapshot, instance)`` dedup on the external side.
+    ``transactional=True``: events buffer in the current epoch;
+    :meth:`save_inst` seals it at each barrier and the engine commits
+    the sealed buffer only once the snapshot completes (two-phase
+    commit, §4.5), with ``(snapshot, instance)`` dedup on the external
+    side.
     """
 
     def __init__(self, inst_idx: int, external: "ExternalStore", *, transactional: bool):
@@ -517,11 +537,6 @@ class SinkProcessor(Processor):
             self.external.emit(ev.payload)
         return []
 
-    def prepare_epoch(self, sid: int) -> list:
-        """Phase 1 of 2PC: seal the epoch buffer for snapshot ``sid``."""
-        out, self.epoch = self.epoch, []
-        return out
-
     def complete(self) -> list[Event]:
         # normal job completion commits the trailing epoch directly
         if self.transactional and self.epoch:
@@ -530,10 +545,13 @@ class SinkProcessor(Processor):
         return []
 
     def save_inst(self):
-        return list(self.epoch)
+        """Phase 1 of 2PC: seal the epoch buffer into the snapshot."""
+        out, self.epoch = self.epoch, []
+        return out
 
     def restore_inst(self, state) -> None:
-        self.epoch = list(state or [])
+        # the engine commits the sealed epoch ``state`` itself (phase 2)
+        self.epoch = []
 
 
 class ExternalStore:

@@ -50,12 +50,6 @@ class SourceTasklet:
         self._finishing = False
         self._ctl = OutputBuffer(outputs[0])
 
-    def _broadcast(self, item) -> None:
-        self._ctl.push_control(item)
-
-    def _flush_control(self, now_ms: float) -> bool:
-        return self._ctl.flush(now_ms)
-
     def save_inst(self):
         return self.offset
 
@@ -84,7 +78,7 @@ class SourceTasklet:
             return False, 0.0
         if now_ms < self._next_wake():  # provably idle: same result as a full run
             return False, self.run_overhead_ms / 4
-        if not self._flush_control(now_ms):
+        if not self._ctl.flush(now_ms):
             return False, 0.0
         progress = False
         if self.pending_snapshot_sid is not None:
@@ -92,9 +86,9 @@ class SourceTasklet:
             self.pending_snapshot_sid = None
             if self.on_snapshot is not None:
                 self.on_snapshot(sid, self)
-            self._broadcast(Barrier(sid))
+            self._ctl.push_control(Barrier(sid))
             progress = True
-            if not self._flush_control(now_ms):
+            if not self._ctl.flush(now_ms):
                 # barrier must reach the queues before any post-offset
                 # event; retry next run, emitting nothing now
                 return True, self.run_overhead_ms
@@ -115,13 +109,13 @@ class SourceTasklet:
             wm = max_arrival - self.ooo_lag_ms
             if wm > self.last_wm:
                 self.last_wm = wm
-                self._broadcast(Watermark(wm))
+                self._ctl.push_control(Watermark(wm))
         if self.offset >= len(self.events) and not self._finishing:
             self._finishing = True
-            self._broadcast(Watermark(WM_MAX))
-            self._broadcast(EndOfStream())
+            self._ctl.push_control(Watermark(WM_MAX))
+            self._ctl.push_control(EndOfStream())
             progress = True
-        if self._flush_control(now_ms) and self._finishing:
+        if self._ctl.flush(now_ms) and self._finishing:
             self.done = True
         cost = self.run_overhead_ms + emitted * self.cost_per_item_ms
         return progress, cost if progress else self.run_overhead_ms / 4

@@ -35,7 +35,7 @@ from collections import deque
 
 from .items import WM_MAX, Barrier, EndOfStream, Event, Watermark
 from .processors import Processor
-from .queues import NetworkChannel, SPSCQueue
+from .queues import NetworkChannel
 
 
 class InboundChannel:
@@ -46,9 +46,8 @@ class InboundChannel:
     sharing one ordinal.
     """
 
-    def __init__(self, queue, *, remote: bool = False, ordinal: int = 0):
+    def __init__(self, queue, *, ordinal: int = 0):
         self.queue = queue
-        self.remote = remote
         self.ordinal = ordinal
         self.wm = -1  # highest watermark seen on this channel
         self.done = False
@@ -59,9 +58,6 @@ class InboundChannel:
             self.queue.maybe_ack(now_ms)
             return self.queue.poll(now_ms)
         return self.queue.poll()
-
-    def backlog(self) -> int:
-        return len(self.queue)
 
 
 class OutboundEdge:
@@ -152,6 +148,7 @@ class Tasklet:
         cost_per_item_ms: float = 0.0005,
         run_overhead_ms: float = 0.001,
         on_snapshot=None,
+        on_done=None,
         metrics=None,
     ):
         self.name = name
@@ -166,6 +163,7 @@ class Tasklet:
         self.cost_per_item_ms = cost_per_item_ms
         self.run_overhead_ms = run_overhead_ms
         self.on_snapshot = on_snapshot  # fn(sid, tasklet) -> None
+        self.on_done = on_done  # fn(tasklet) -> None, once, on completion
         self.metrics = metrics
         self.done = False
         self.wm = -1
@@ -299,6 +297,8 @@ class Tasklet:
         flushed = self.out.flush(now_ms)
         if self._finishing and flushed:
             self.done = True
+            if self.on_done is not None:
+                self.on_done(self)
         self._wake = self._next_wake()
         cost = self.run_overhead_ms + len(inbox) * self.cost_per_item_ms
         if self.metrics is not None and inbox:

@@ -9,13 +9,14 @@ idempotent/transactional sinks in :mod:`repro.sinks.exactly_once`.
 All queries take *streaming* DataFrames (``spark.readStream`` over a
 chunked parquet directory, see :mod:`repro.sinks.replayable`) and
 return streaming DataFrames; helpers at the bottom run them to
-completion deterministically for tests.
+completion deterministically for tests. The stateless queries (Q1, Q2
+and Q13's stream-side probe) are the :mod:`repro.nexmark.queries_batch`
+functions themselves: the DataFrame API is the same on streaming frames.
+Only the queries whose streaming form needs watermarks live here.
 """
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from . import schema as S
-from .queries_batch import Q2_MOD
 
 def read_stream(
     spark: SparkSession, input_dir: str, schema, *, max_files_per_trigger: int = 1
@@ -27,21 +28,6 @@ def read_stream(
         .option("maxFilesPerTrigger", max_files_per_trigger)
         .parquet(input_dir)
     )
-
-
-def q1_stream(bids: DataFrame) -> DataFrame:
-    """Q1 streaming: stateless currency conversion."""
-    return bids.select(
-        "auction",
-        "bidder",
-        F.round(F.col("price") * F.lit(S.USD_TO_EUR), 2).alias("price_eur"),
-        "ts_ms",
-    )
-
-
-def q2_stream(bids: DataFrame) -> DataFrame:
-    """Q2 streaming: stateless selection."""
-    return bids.filter(F.col("auction") % Q2_MOD == 0).select("auction", "price")
 
 
 def q5_counts_stream(
@@ -105,13 +91,6 @@ def q8_stream(
         "id", "name", F.unix_millis(F.col("w.start")).alias("window_start")
     )
     return joined.dropDuplicates(["id", "name", "window_start"])
-
-
-def q13_stream(bids: DataFrame, side: DataFrame, *, side_size: int) -> DataFrame:
-    """Q13 streaming: enrich the bid stream from a bounded (batch) side
-    input — Listing 2's hybrid batch+stream join, stream-side probe."""
-    keyed = bids.withColumn("key", F.col("auction") % side_size)
-    return keyed.join(side, "key").select("auction", "bidder", "price", "ts_ms", "value")
 
 
 # -- deterministic execution helpers ------------------------------------

@@ -1,4 +1,6 @@
 """Pipeline→DAG compilation coverage for every NEXMark pipeline."""
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.dag import DAG
@@ -74,10 +76,22 @@ def test_sink_inherits_upstream_parallelism():
 
 
 def test_stateful_vertices_carry_merge_fns():
+    # a vertex is a processor factory; the processor it builds states how
+    # its keyed state merges and which record key routes it on restore
+    ctx = SimpleNamespace(record_trigger=lambda end, now: None)
     dag = qj.q5_pipeline(size_ms=100, slide_ms=50).compile()
-    assert dag.vertices["q5.accumulate"].merge(2, 3) == 5
-    assert dag.vertices["q5.combine"].merge(2, 3) == 5
-    assert dag.vertices["q5.accumulate"].state_record_key(("k", 100)) == "k"
+    acc = dag.vertices["q5.accumulate"].make(ctx, 0)
+    comb = dag.vertices["q5.combine"].make(ctx, 0)
+    top = dag.vertices["q5.top"].make(ctx, 0)
+    assert acc.merge(2, 3) == 5 and comb.merge(2, 3) == 5
+    assert acc.record_key(("k", 100)) == "k" and comb.record_key(("k", 100)) == "k"
+    assert top.merge({"a": 1}, {"b": 2}) == {"a": 1, "b": 2}
+    assert top.record_key(100) == 100
+    join = qj.q8_pipeline(size_ms=100).compile().vertices["q8"].make(ctx, 0)
+    assert join.merge([None, True], [{"id": 1}, False]) == [{"id": 1}, True]
+    assert join.record_key((7, 0)) == 7
+    hjoin = qj.q13_pipeline(side_size=8).compile().vertices["q13"].make(ctx, 0)
+    assert hjoin.merge(None, 4) == 4 and hjoin.record_key(3) == 3
 
 
 def test_all_pipelines_validate():

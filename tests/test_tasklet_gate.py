@@ -121,7 +121,7 @@ class _Collect(Processor):
 def test_offer_reopens_an_idle_tasklet():
     local, net = SPSCQueue(8), NetworkChannel(latency_ms=2.0, ack_interval_ms=100.0)
     proc = _Collect()
-    t = Tasklet("t", proc, [InboundChannel(local), InboundChannel(net, remote=True)], [])
+    t = Tasklet("t", proc, [InboundChannel(local), InboundChannel(net)], [])
     assert t.run(0.0)[0] is False
     assert t._wake == 100.0 - ACK_GUARD_MS  # next credit ack of the network channel
     assert t.run(50.0) == (False, t.run_overhead_ms / 4)
@@ -138,7 +138,7 @@ def _credit_flow():
     """A producer offering every slice into a two-credit channel whose
     consumer re-grants credits every 10 ms."""
     ch = NetworkChannel(latency_ms=0.5, ack_interval_ms=10.0, initial_credits=2)
-    t = Tasklet("t", _Collect(), [InboundChannel(ch, remote=True)], [])
+    t = Tasklet("t", _Collect(), [InboundChannel(ch)], [])
     sent = []
     for i in range(100):
         now = i * 0.5
